@@ -12,9 +12,10 @@ Sub-commands::
 
 Searches, baselines and sweeps run through the evaluation runtime
 (:mod:`repro.runtime`); the shared runtime flags (``--jobs``,
-``--executor``, ``--cache``/``--cache-backend``/``--cache-shards``,
-``--resume``, ``--checkpoint-every``, ``--reference-interpreter``) are
-documented in the README's CLI reference and in ``docs/runtime.md``.
+``--cache``/``--cache-backend``, ``--resume``, ``--checkpoint-every``,
+``--reference-interpreter``) are documented in the README's CLI
+reference and in ``docs/runtime.md``.  ``--jobs 1`` evaluates in this
+process; any other value fans each generation out to a process pool.
 
 The experiment identifiers match DESIGN.md / EXPERIMENTS.md and the
 benchmark harness, so the CLI is simply another front end over
@@ -32,7 +33,6 @@ from typing import List, Optional
 
 from .baselines import HillClimber, RandomSearch
 from .errors import ReproError
-from .experiments import available_experiments, get_experiment
 from .gevo import GevoConfig, GevoSearch
 from .gpu import EVALUATION_ORDER, available_archs, parse_arch_list
 from .runtime import EvaluationEngine, FitnessCache, SearchCheckpoint, make_executor
@@ -57,26 +57,16 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every subcommand that evaluates fitness."""
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="evaluate each generation across N workers (0 = all cores)")
-    parser.add_argument(
-        "--executor", choices=["auto", "serial", "process", "async", "sharded"],
-        default="auto",
-        help="execution strategy for --jobs: in-process serial, a process "
-             "pool, bounded-concurrency asyncio, or hash-sharded lanes "
-             "(default: serial for --jobs 1, process pool otherwise)")
+        help="evaluate each generation across N worker processes (1 = in "
+             "this process, 0 = all cores)")
     parser.add_argument(
         "--cache", default=None, metavar="PATH",
         help="persist the fitness cache to PATH; re-runs hit the warm cache")
     parser.add_argument(
-        "--cache-backend", choices=["auto", "json", "sqlite", "sharded"],
+        "--cache-backend", choices=["auto", "json", "sqlite"],
         default="auto",
-        help="disk tier for --cache: whole-document JSON, incremental "
-             "WAL-mode SQLite, or a directory of hash-partitioned SQLite "
-             "shards (default: pick from the path)")
-    parser.add_argument(
-        "--cache-shards", type=int, default=None, metavar="N",
-        help="shard count when creating a fresh sharded cache (an existing "
-             "sharded cache keeps the count it was created with)")
+        help="disk tier for --cache: whole-document JSON or incremental "
+             "WAL-mode SQLite (default: pick from the path)")
     parser.add_argument(
         "--interpreter-tier", choices=["auto", "jit", "dispatch", "oracle"],
         default="auto",
@@ -287,9 +277,8 @@ def _make_engine(adapter, arguments: argparse.Namespace,
     backend = None if arguments.cache_backend == "auto" else arguments.cache_backend
     return EvaluationEngine(
         adapter,
-        executor=make_executor(arguments.jobs, arguments.executor),
-        cache=FitnessCache(arguments.cache, backend=backend,
-                           shards=arguments.cache_shards),
+        executor=make_executor(arguments.jobs),
+        cache=FitnessCache(arguments.cache, backend=backend),
         telemetry=telemetry,
         batch_launches=_resolve_batch_launches(arguments))
 
@@ -336,6 +325,10 @@ def _load_resume_checkpoint(arguments: argparse.Namespace, config: GevoConfig,
 
 
 def _command_list() -> int:
+    # Imported here, not at module load: the experiment modules cost most
+    # of the CLI's start-up and only ``list``/``run`` need them.
+    from .experiments import available_experiments
+
     print("available experiments:")
     for name in available_experiments():
         print(f"  {name}")
@@ -343,6 +336,8 @@ def _command_list() -> int:
 
 
 def _command_run(arguments: argparse.Namespace) -> int:
+    from .experiments import get_experiment
+
     try:
         experiment = get_experiment(arguments.experiment)
     except KeyError as error:
@@ -476,8 +471,7 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
     backend = None if arguments.cache_backend == "auto" else arguments.cache_backend
     _log.info(f"sweep: {len(spec.legs())} legs "
               f"({len(workloads)} workloads x {len(archs)} archs x {len(seeds)} seeds), "
-              f"method={arguments.method}, executor={arguments.executor}, "
-              f"jobs={arguments.jobs}"
+              f"method={arguments.method}, jobs={arguments.jobs}"
               + (", resuming" if arguments.resume else ""))
 
     # Per-leg progress lines come from the console reporter rendering the
@@ -487,10 +481,8 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
         spec, arguments.sweep_dir,
         resume=arguments.resume,
         jobs=arguments.jobs,
-        executor_kind=arguments.executor,
         cache_path=arguments.cache if arguments.cache else "auto",
         cache_backend=backend,
-        cache_shards=arguments.cache_shards,
         checkpoint_every=arguments.checkpoint_every,
         interpreter_tier=interpreter_tier,
         batch_launches=batch_launches,

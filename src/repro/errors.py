@@ -72,11 +72,15 @@ class SearchError(ReproError):
     """Raised for configuration errors in the GEVO search driver."""
 
 
+class CacheError(ReproError):
+    """A ``--cache`` path that no fitness-cache backend can open."""
+
+
 class ExecutorError(ReproError):
     """An evaluation batch failed inside an :class:`~repro.runtime.engine.Executor`.
 
     Raised when a worker raises or dies mid-batch (e.g. a worker process
-    killed by the OOM killer, or an exception escaping an async task).
+    killed by the OOM killer).
     The engine guarantees that a batch which raises leaves the fitness
     cache untouched -- no partial results are ever stored -- so callers
     can retry the batch or abort without corrupting persisted state.

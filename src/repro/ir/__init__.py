@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .builder import KernelBuilder, build_module
 from .function import BasicBlock, Function, Module, Param, SharedDecl
-from .instructions import Instruction, SourceLoc, reset_uid_namespace
+from .instructions import Instruction, SourceLoc, memoize_in_uid_namespace, reset_uid_namespace
 from .opcodes import all_opcodes, is_known_opcode, opcode_info
 from .parser import parse_function, parse_module
 from .printer import format_function, format_instruction, format_module
@@ -59,6 +59,7 @@ __all__ = [
     "format_module",
     "immediate_postdominators",
     "is_known_opcode",
+    "memoize_in_uid_namespace",
     "opcode_info",
     "parse_function",
     "parse_module",

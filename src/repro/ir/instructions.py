@@ -10,14 +10,17 @@ done in the paper's functional analysis (Section VI).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .opcodes import opcode_info
 from .values import Const, Reg, Value, as_value, format_value
 
 _uid_counter = itertools.count(1)
+#: Bumped by :func:`reset_uid_namespace`; memoized builders key on it.
+_uid_generation = 0
 
 
 def next_uid() -> int:
@@ -40,8 +43,39 @@ def reset_uid_namespace() -> None:
     use: uid collisions between old and new instructions would corrupt
     edit addressing.
     """
-    global _uid_counter
+    global _uid_counter, _uid_generation
     _uid_counter = itertools.count(1)
+    _uid_generation += 1
+
+
+_Built = TypeVar("_Built")
+
+
+def memoize_in_uid_namespace(builder: Callable[..., _Built]) -> Callable[..., _Built]:
+    """Memoize a kernel *builder* by its positional arguments.
+
+    Reusing one built module lets the simulator's per-function decode and
+    JIT caches hit across adapter constructions, and lets two adapters in
+    one process address the same instruction uids.  Callers must treat
+    the shared module as immutable (GEVO clones before editing).  The memo
+    empties when :func:`reset_uid_namespace` runs: a module built in the
+    old namespace would share uids with instructions allocated in the
+    new one, so the first build after a reset numbers its instructions
+    exactly as a freshly-started process would.
+    """
+    memo: Dict[tuple, _Built] = {}
+    built_in = [_uid_generation]
+
+    @functools.wraps(builder)
+    def build(*args):
+        if built_in[0] != _uid_generation:
+            memo.clear()
+            built_in[0] = _uid_generation
+        if args not in memo:
+            memo[args] = builder(*args)
+        return memo[args]
+
+    return build
 
 
 _mutation_counter = itertools.count(1)

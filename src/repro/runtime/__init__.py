@@ -13,13 +13,11 @@ process pool, against a persistent cache).  Typical usage::
     ...
     engine.close()   # flush the cache, stop the workers
 
-See :mod:`repro.runtime.engine` (executors + batch API),
-:mod:`repro.runtime.executors` (the async in-process and hash-sharded
-backends), :mod:`repro.runtime.cache` (content-addressed fitness cache
-and the pluggable :class:`CacheStore` backends -- whole-document JSON,
-incremental WAL-mode SQLite in :mod:`repro.runtime.sqlite_store`, or a
-directory of hash-partitioned SQLite shards in
-:mod:`repro.runtime.sharded_store`), :mod:`repro.runtime.checkpoint`
+See :mod:`repro.runtime.engine` (the serial and process-pool executors
++ batch API), :mod:`repro.runtime.cache` (content-addressed fitness
+cache and the pluggable :class:`CacheStore` backends -- whole-document
+JSON, or incremental WAL-mode SQLite in
+:mod:`repro.runtime.sqlite_store`), :mod:`repro.runtime.checkpoint`
 (the :class:`CheckpointableSearch` protocol behind checkpoint/resume for
 GEVO and both baselines) and :mod:`repro.runtime.sweep` (the
 multi-architecture sweep orchestrator behind ``repro sweep``).
@@ -43,7 +41,6 @@ from .cache import (
     make_cache_store,
     result_from_dict,
     result_to_dict,
-    shard_index,
 )
 from .checkpoint import (
     CheckpointableSearch,
@@ -66,8 +63,6 @@ from .engine import (
     make_executor,
 )
 from .console import ConsoleReporter, configure_console, console_logger
-from .executors import AsyncExecutor, ShardedExecutor
-from .sharded_store import ShardedCacheStore
 from .sqlite_store import SqliteCacheStore
 from .sweep import (
     LegOutcome,
@@ -97,7 +92,6 @@ from .trace_format import (
 )
 
 __all__ = [
-    "AsyncExecutor",
     "CacheKey",
     "CacheStats",
     "CacheStore",
@@ -115,9 +109,7 @@ __all__ = [
     "ParallelExecutor",
     "SearchCheckpoint",
     "SerialExecutor",
-    "ShardedCacheStore",
     "SimulatedCrash",
-    "ShardedExecutor",
     "SqliteCacheStore",
     "SweepLeg",
     "SweepReport",
@@ -149,7 +141,6 @@ __all__ = [
     "run_sweep",
     "serialize_history",
     "serialize_individual",
-    "shard_index",
     "summarize_trace",
     "telemetry_of",
 ]

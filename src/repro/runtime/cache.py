@@ -28,17 +28,14 @@ Disk persistence is pluggable through the :class:`CacheStore` interface:
 * :class:`~repro.runtime.sqlite_store.SqliteCacheStore` -- one row per
   entry in a WAL-mode SQLite database; each flush upserts only the
   entries added or changed since the last one, so flush cost is
-  O(new entries), not O(cache size).  The right tier for long sweeps.
-* :class:`~repro.runtime.sharded_store.ShardedCacheStore` -- a directory
-  of N SQLite shards with keys partitioned by :func:`shard_index`, so
-  concurrent writers (multi-process sweeps) rarely contend on one WAL
-  file.
+  O(new entries), not O(cache size).  The right tier for long sweeps;
+  SQLite serialises concurrent writers from several processes itself.
 
-:func:`make_cache_store` picks a backend from an explicit name, an
-existing directory (sharded), the path's extension
-(``.sqlite`` / ``.sqlite3`` / ``.db``), or the on-disk
-file's magic bytes.  All stores treat a cache file as disposable
-acceleration state: corrupt or incompatible files behave like empty ones.
+:func:`make_cache_store` picks a backend from an explicit name, the
+path's extension (``.sqlite`` / ``.sqlite3`` / ``.db``), or the on-disk
+file's magic bytes; a directory is not a cache path.  All stores treat
+a cache file as disposable acceleration state: corrupt or incompatible
+files behave like empty ones.
 ``inf`` runtimes of invalid variants round-trip through JSON's
 ``Infinity`` literal in either backend.
 """
@@ -53,6 +50,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Set, Tuple, Union
 
+from ..errors import CacheError
 from ..gevo.edits import Edit
 from ..gevo.fitness import CaseResult, FitnessResult
 
@@ -91,26 +89,13 @@ def canonical_edit_hash(edits: Sequence[Edit]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def shard_index(edit_hash: str, shards: int) -> int:
-    """Stable shard assignment for a canonical edit hash.
-
-    Shared by the :class:`~repro.runtime.sharded_store.ShardedCacheStore`
-    (which SQLite shard holds the row) and the
-    :class:`~repro.runtime.executors.ShardedExecutor` (which lane runs the
-    evaluation), so an edit set's evaluation and its cache row always
-    agree on a shard.  Derived from the hash prefix, not Python's
-    ``hash()``, so the assignment is stable across processes and runs.
-    """
-    return int(edit_hash[:8], 16) % max(1, shards)
-
-
 def _atomic_write(path: str, writer, *, durable: bool = False) -> None:
     """Run *writer(handle)* against a temp file, then rename over *path*.
 
     A crash mid-write never damages an existing file at *path*; readers
     see either the old content or the new, never a torn mix.  The single
-    implementation behind the JSON cache tier, checkpoints, the
-    sharded-store manifest and the sweep record/report writers (pinned
+    implementation behind the JSON cache tier, checkpoints and the
+    sweep record/report writers (pinned
     by the crash tests in ``tests/runtime/test_durability.py``).
 
     With ``durable=True`` the temp file is fsynced before the rename and
@@ -298,26 +283,26 @@ class JsonCacheStore(CacheStore):
         self.last_flush_count = len(entries)
 
 
-def make_cache_store(path: str, backend: Optional[str] = None, *,
-                     shards: Optional[int] = None) -> CacheStore:
+def make_cache_store(path: str, backend: Optional[str] = None) -> CacheStore:
     """Build the cache store for *path*.
 
-    ``backend`` may be ``"json"``, ``"sqlite"``, ``"sharded"``, or
-    ``None``/``"auto"``.  Auto-detection prefers, in order: an existing
-    directory at *path* (the sharded tier keeps its shard files inside a
-    directory), a SQLite file extension (``.sqlite`` / ``.sqlite3`` /
-    ``.db``), the SQLite magic bytes of an existing file at *path*, and
-    finally the JSON tier.  An existing JSON cache opened with the SQLite
-    backend is migrated in place on first open (see
-    :class:`~repro.runtime.sqlite_store.SqliteCacheStore`).  ``shards``
-    sets the shard count when a *fresh* sharded store is created (an
-    existing store keeps the count it was created with).
+    ``backend`` may be ``"json"``, ``"sqlite"`` or ``None``/``"auto"``.
+    Auto-detection prefers, in order: a SQLite file extension
+    (``.sqlite`` / ``.sqlite3`` / ``.db``), the SQLite magic bytes of an
+    existing file at *path*, and finally the JSON tier.  An existing JSON
+    cache opened with the SQLite backend is migrated in place on first
+    open (see :class:`~repro.runtime.sqlite_store.SqliteCacheStore`).
+    A directory at *path* (most likely a sharded cache from an older
+    version) raises :class:`~repro.errors.CacheError` under every backend.
     """
+    if os.path.isdir(path):
+        raise CacheError(
+            f"cache path {path!r} is a directory; a cache is a single JSON or "
+            "SQLite file (a directory here is probably a sharded cache from an "
+            "older version -- point --cache at a file instead)")
     if backend in (None, "auto"):
         extension = os.path.splitext(path)[1].lower()
-        if os.path.isdir(path):
-            backend = "sharded"
-        elif extension in SQLITE_EXTENSIONS:
+        if extension in SQLITE_EXTENSIONS:
             backend = "sqlite"
         elif _file_has_sqlite_magic(path):
             backend = "sqlite"
@@ -329,12 +314,8 @@ def make_cache_store(path: str, backend: Optional[str] = None, *,
         from .sqlite_store import SqliteCacheStore
 
         return SqliteCacheStore(path)
-    if backend == "sharded":
-        from .sharded_store import ShardedCacheStore
-
-        return ShardedCacheStore(path, shards=shards)
     raise ValueError(f"unknown cache backend {backend!r} "
-                     "(expected 'auto', 'json', 'sqlite' or 'sharded')")
+                     "(expected 'auto', 'json' or 'sqlite')")
 
 
 def _file_has_sqlite_magic(path: str) -> bool:
@@ -385,12 +366,11 @@ class FitnessCache:
     """
 
     def __init__(self, path: Optional[str] = None, *, backend: Optional[str] = None,
-                 store: Optional[CacheStore] = None, autoload: bool = True,
-                 shards: Optional[int] = None):
+                 store: Optional[CacheStore] = None, autoload: bool = True):
         if store is not None:
             self._store: Optional[CacheStore] = store
         elif path is not None:
-            self._store = make_cache_store(path, backend, shards=shards)
+            self._store = make_cache_store(path, backend)
         else:
             self._store = None
         self.stats = CacheStats()

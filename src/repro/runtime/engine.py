@@ -120,8 +120,8 @@ class Executor:
     * :meth:`run_batch` returns one :class:`FitnessResult` per edit set,
       **in input order**, regardless of internal completion order;
     * results are **bit-for-bit identical** across executors -- the
-      simulated GPU is deterministic, so serial, process-pool, async and
-      sharded execution must agree exactly;
+      simulated GPU is deterministic, so serial and process-pool
+      execution must agree exactly;
     * a failure mid-batch raises (ideally an
       :class:`~repro.errors.ExecutorError`) instead of returning partial
       results -- the engine only caches results from batches that
@@ -313,29 +313,17 @@ class ParallelExecutor(Executor):
 
 
 def make_executor(jobs: int, kind: Optional[str] = None) -> Executor:
-    """Build the executor for a ``--jobs N`` / ``--executor KIND`` request.
+    """Build the executor for a ``--jobs N`` request.
 
-    With ``kind`` ``None``/``"auto"`` the historical rule applies:
-    ``jobs == 1`` -> serial; anything else -> a process pool (``jobs < 1``
-    means one worker per core, capped).  Explicit kinds: ``"serial"``,
-    ``"process"`` (:class:`ParallelExecutor`), ``"async"``
-    (:class:`~repro.runtime.executors.AsyncExecutor`) and ``"sharded"``
-    (:class:`~repro.runtime.executors.ShardedExecutor`); for those,
-    ``jobs`` sets the worker/lane count.
+    ``jobs == 1`` -> :class:`SerialExecutor`; anything else -> a
+    :class:`ParallelExecutor` process pool (``jobs < 1`` means one worker
+    per core, capped).  ``kind`` accepts only ``None``/``"auto"``, the
+    rule above; construct an executor directly to pin one.
     """
-    if kind in (None, "auto"):
-        return SerialExecutor() if jobs == 1 else ParallelExecutor(jobs)
-    if kind == "serial":
-        return SerialExecutor()
-    if kind == "process":
-        return ParallelExecutor(jobs)
-    if kind in ("async", "sharded"):
-        # Imported lazily: executors.py builds on the types defined here.
-        from .executors import AsyncExecutor, ShardedExecutor
-
-        return AsyncExecutor(jobs) if kind == "async" else ShardedExecutor(jobs)
-    raise ValueError(f"unknown executor kind {kind!r} (expected 'auto', "
-                     "'serial', 'process', 'async' or 'sharded')")
+    if kind not in (None, "auto"):
+        raise ValueError(f"unknown executor kind {kind!r} (expected 'auto'; "
+                         "--jobs alone picks serial or the process pool)")
+    return SerialExecutor() if jobs == 1 else ParallelExecutor(jobs)
 
 
 # -- the engine ----------------------------------------------------------------------

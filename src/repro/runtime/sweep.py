@@ -19,25 +19,25 @@ orchestrator here runs the whole grid through the existing
   carries the leg's fitness-cache contents, and the shared sweep cache
   persists across processes);
 * all legs share one :class:`~repro.runtime.cache.FitnessCache` (by
-  default a :class:`~repro.runtime.sharded_store.ShardedCacheStore`
-  under ``<sweep_dir>/cache``), so legs that differ only by seed reuse
-  each other's evaluations, and concurrent sweep *processes* pointed at
-  the same cache contend per-shard instead of on one WAL file;
+  default the WAL-mode SQLite file ``<sweep_dir>/cache.sqlite``), so
+  legs that differ only by seed reuse each other's evaluations; SQLite
+  serialises writers if several sweep processes share the file, and each
+  flush is one small upsert transaction;
 * outcomes aggregate into a :class:`SweepReport` written as both
   ``report.json`` and ``report.csv`` keyed by (arch, workload, seed).
 
 Layout of a sweep directory::
 
     <sweep_dir>/
-        cache/              # shared sharded fitness cache (default)
+        cache.sqlite        # shared fitness cache (default)
         checkpoints/        # one checkpoint per unfinished leg
         legs/               # one result record per finished leg
         report.json         # aggregated report (rewritten per run)
         report.csv
 
-Executor choice is per-sweep (``executor_kind``): the async in-process
-executor suits the small toy populations, the process pool the heavy
-ADEPT/SimCov legs; results are bit-for-bit identical either way.
+``jobs`` picks the executor for every leg: 1 evaluates in-process, any
+other value uses a process pool; results are bit-for-bit identical
+either way.
 """
 
 from __future__ import annotations
@@ -276,10 +276,8 @@ class SweepReport:
 def run_sweep(spec: SweepSpec, sweep_dir: str, *,
               resume: bool = False,
               jobs: int = 1,
-              executor_kind: Optional[str] = None,
               cache_path: Optional[str] = "auto",
               cache_backend: Optional[str] = None,
-              cache_shards: Optional[int] = None,
               checkpoint_every: Optional[int] = None,
               reference_interpreter: bool = False,
               interpreter_tier: Optional[str] = None,
@@ -293,10 +291,11 @@ def run_sweep(spec: SweepSpec, sweep_dir: str, *,
     artifacts; ``resume=True`` loads finished legs from their result
     records (status ``skipped``, zero fresh evaluations) and continues
     unfinished legs from their checkpoints.  ``cache_path="auto"``
-    selects the shared sharded cache at ``<sweep_dir>/cache``;  ``None``
+    selects the shared SQLite cache at ``<sweep_dir>/cache.sqlite``;  ``None``
     keeps the cache purely in-memory (still shared across the legs of
     this invocation).  Legs run sequentially; parallelism lives *inside*
-    each leg, in the engine's executor (``jobs`` x ``executor_kind``).
+    each leg, in the engine's executor (see
+    :func:`~repro.runtime.engine.make_executor` for how ``jobs`` picks it).
 
     An interruption (Ctrl-C, SIGKILL) loses at most the current round of
     the current leg: every leg checkpoints each round and every finished
@@ -315,10 +314,8 @@ def run_sweep(spec: SweepSpec, sweep_dir: str, *,
     os.makedirs(checkpoints_dir, exist_ok=True)
 
     if cache_path == "auto":
-        cache_path = os.path.join(sweep_dir, "cache")
-        if cache_backend in (None, "auto"):
-            cache_backend = "sharded"
-    cache = FitnessCache(cache_path, backend=cache_backend, shards=cache_shards)
+        cache_path = os.path.join(sweep_dir, "cache.sqlite")
+    cache = FitnessCache(cache_path, backend=cache_backend)
 
     report = SweepReport(spec=spec.to_dict())
     telemetry.event("sweep.start", sweep_dir=str(sweep_dir), resume=resume,
@@ -363,7 +360,7 @@ def run_sweep(spec: SweepSpec, sweep_dir: str, *,
                            if resume and os.path.exists(checkpoint_path) else None)
             with telemetry.span("sweep.leg", leg_id=leg.leg_id) as leg_fields:
                 outcome = _run_leg(spec, leg, cache,
-                                   jobs=jobs, executor_kind=executor_kind,
+                                   jobs=jobs,
                                    checkpoint_path=checkpoint_path,
                                    checkpoint_every=checkpoint_every,
                                    resume_from=resume_from,
@@ -418,7 +415,7 @@ def _record_leg_metrics(telemetry: Telemetry, leg: SweepLeg,
 
 
 def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache, *,
-             jobs: int, executor_kind: Optional[str],
+             jobs: int,
              checkpoint_path: str, checkpoint_every: Optional[int],
              resume_from: Optional[str],
              reference_interpreter: bool,
@@ -443,7 +440,7 @@ def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache, *,
                            interpreter_tier=interpreter_tier)
     config = spec.leg_config(leg)
     engine = EvaluationEngine(adapter,
-                              executor=make_executor(jobs, executor_kind),
+                              executor=make_executor(jobs),
                               cache=cache,
                               telemetry=telemetry,
                               batch_launches=batch_launches)

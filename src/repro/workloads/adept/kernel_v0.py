@@ -25,29 +25,20 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ...ir import KernelBuilder, Param, SharedDecl, build_module
+from ...ir import KernelBuilder, Param, SharedDecl, build_module, memoize_in_uid_namespace
 from .kernel_v1 import AdeptKernel, _round_up_to_warp
 from .smith_waterman import GAP_PENALTY, MATCH_SCORE, MISMATCH_PENALTY
 
 
 def build_adept_v0(block_threads: int, max_reference_length: int,
                    warp_size: int = 32) -> AdeptKernel:
-    """Build the naive ADEPT-V0 module for a given launch shape.
-
-    Memoized by shape (see ``kernel_v1._KERNEL_CACHE``): the builder is a
-    pure function of its arguments and the shared module must be treated
-    as immutable.
-    """
-    from .kernel_v1 import _KERNEL_CACHE
-    key = ("v0", _round_up_to_warp(block_threads, warp_size),
-           max_reference_length, warp_size)
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
-        kernel = _KERNEL_CACHE[key] = _build_adept_v0(
-            block_threads, max_reference_length, warp_size)
-    return kernel
+    """The naive ADEPT-V0 module for a launch shape, memoized by that shape
+    (:func:`~repro.ir.memoize_in_uid_namespace`)."""
+    return _build_adept_v0(_round_up_to_warp(block_threads, warp_size),
+                           max_reference_length, warp_size)
 
 
+@memoize_in_uid_namespace
 def _build_adept_v0(block_threads: int, max_reference_length: int,
                     warp_size: int = 32) -> AdeptKernel:
     block_threads = _round_up_to_warp(block_threads, warp_size)

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ...ir import KernelBuilder, Module, Param, SharedDecl, build_module
+from ...ir import KernelBuilder, Module, Param, SharedDecl, build_module, memoize_in_uid_namespace
 from .smith_waterman import GAP_PENALTY, MATCH_SCORE, MISMATCH_PENALTY
 
 #: Lane index of the last thread in a warp (the staging writer in ADEPT-V1).
@@ -56,27 +56,15 @@ def _round_up_to_warp(threads: int, warp_size: int = 32) -> int:
     return int(math.ceil(max(1, threads) / warp_size) * warp_size)
 
 
-#: Built kernels memoized by launch shape: the builders are pure functions
-#: of their integer arguments, and reusing the same ``Module`` (hence the
-#: same ``Function`` objects) lets the simulator's per-function decode and
-#: JIT caches hit across driver constructions -- ``for_version`` in a
-#: search loop stops paying IR-build + decode per evaluation.  Callers
-#: must treat the shared module as immutable; GEVO already clones before
-#: applying edits.
-_KERNEL_CACHE: Dict[tuple, AdeptKernel] = {}
-
-
 def build_adept_v1(block_threads: int, max_reference_length: int,
                    warp_size: int = 32) -> AdeptKernel:
-    key = ("v1", _round_up_to_warp(block_threads, warp_size),
-           max_reference_length, warp_size)
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
-        kernel = _KERNEL_CACHE[key] = _build_adept_v1(
-            block_threads, max_reference_length, warp_size)
-    return kernel
+    """The ADEPT-V1 module for a launch shape, memoized by that shape
+    (:func:`~repro.ir.memoize_in_uid_namespace`)."""
+    return _build_adept_v1(_round_up_to_warp(block_threads, warp_size),
+                           max_reference_length, warp_size)
 
 
+@memoize_in_uid_namespace
 def _build_adept_v1(block_threads: int, max_reference_length: int,
                    warp_size: int = 32) -> AdeptKernel:
     """Build the hand-tuned ADEPT-V1 module for a given launch shape.

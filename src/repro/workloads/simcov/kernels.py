@@ -24,9 +24,9 @@ left over from the CPU port).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ...ir import KernelBuilder, Module, Param, build_module
+from ...ir import KernelBuilder, Module, Param, build_module, memoize_in_uid_namespace
 from .params import APOPTOTIC, DEAD, EXPRESSING, HEALTHY, INCUBATING
 from .reference import (
     RNG_STREAM_EXTRAVASATE,
@@ -375,24 +375,15 @@ def _build_statistics() -> KernelBuilder:
 
 
 # --------------------------------------------------------------------------- public builder
-_KERNELS: Optional[SimCovKernels] = None
-
-
+@memoize_in_uid_namespace
 def build_simcov_kernels() -> SimCovKernels:
     """Build the eight-kernel SIMCoV module and its edit-target map.
 
-    Memoized: the builder takes no arguments and the module is immutable
-    (GEVO clones before editing), so repeated driver constructions reuse
-    the same ``Function`` objects and hit the simulator's decode/JIT
-    caches instead of rebuilding and re-decoding the IR.
+    Memoized (:func:`~repro.ir.memoize_in_uid_namespace`): repeated
+    driver constructions reuse the same ``Function`` objects and hit the
+    simulator's decode/JIT caches instead of rebuilding and re-decoding
+    the IR.
     """
-    global _KERNELS
-    if _KERNELS is None:
-        _KERNELS = _build_simcov_kernels()
-    return _KERNELS
-
-
-def _build_simcov_kernels() -> SimCovKernels:
     edit_targets: Dict[str, Dict[str, int]] = {
         "simcov_spread_virions": {},
         "simcov_spread_chemokine": {},

@@ -21,7 +21,7 @@ from ..errors import KernelTrap, LaunchError
 from ..gevo.edits import Edit, InstructionDelete
 from ..gevo.fitness import CaseResult, FitnessResult, WorkloadAdapter
 from ..gpu import GpuArch, GpuDevice, P100
-from ..ir import KernelBuilder, Module, Param, build_module
+from ..ir import KernelBuilder, Module, Param, build_module, memoize_in_uid_namespace
 
 
 @dataclass
@@ -32,8 +32,13 @@ class ToyKernel:
     edit_targets: Dict[str, int]
 
 
+@memoize_in_uid_namespace
 def build_toy_kernel() -> ToyKernel:
-    """Build the ``saxpy_wasteful`` kernel."""
+    """Build the ``saxpy_wasteful`` kernel.
+
+    Memoized (:func:`~repro.ir.memoize_in_uid_namespace`), so every toy
+    adapter in a process addresses the same instruction uids.
+    """
     targets: Dict[str, int] = {}
     b = KernelBuilder(
         "saxpy_wasteful",
@@ -90,13 +95,17 @@ class ToyWorkloadAdapter(WorkloadAdapter):
     def original_module(self) -> Module:
         return self.kernel.module
 
+    def _launch_args(self, out: np.ndarray) -> Dict[str, object]:
+        # Per-launch copies of the inputs: a mutant that stores into x or
+        # y must not corrupt the inputs of later evaluations.
+        return {"x": self.x.copy(), "y": self.y.copy(), "out": out, "n": self.elements}
+
     def evaluate(self, module: Module) -> FitnessResult:
         out = np.zeros(self.elements)
         blocks = max(1, math.ceil(self.elements / 64))
         try:
             launch = self.device.launch(module, grid=blocks, block=64,
-                                        args={"x": self.x, "y": self.y,
-                                              "out": out, "n": self.elements},
+                                        args=self._launch_args(out),
                                         kernel_name="saxpy_wasteful")
         except (KernelTrap, LaunchError) as exc:
             return FitnessResult.from_cases(
@@ -115,8 +124,7 @@ class ToyWorkloadAdapter(WorkloadAdapter):
         """
         blocks = max(1, math.ceil(self.elements / 64))
         outs = [np.zeros(self.elements) for _ in modules]
-        rows = [(module, {"x": self.x, "y": self.y, "out": out, "n": self.elements})
-                for module, out in zip(modules, outs)]
+        rows = [(module, self._launch_args(out)) for module, out in zip(modules, outs)]
         outcomes = self.device.launch_batched(rows, grid=blocks, block=64,
                                               kernel_name="saxpy_wasteful")
         results = []

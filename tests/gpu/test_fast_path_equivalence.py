@@ -290,7 +290,8 @@ def test_out_of_bounds_trap_equivalent():
 def test_decode_cache_invalidated_by_edits():
     """Editing a function after a launch must invalidate its decoding."""
     kernel = build_toy_kernel()
-    module = kernel.module
+    # Edited in place below, so a clone: the memoized module is shared.
+    module = kernel.module.clone()
     arch = get_arch("P100")
     rng = np.random.default_rng(1)
     x = rng.normal(size=128)
@@ -320,7 +321,8 @@ def test_decode_cache_invalidated_by_operand_replace():
     from repro.ir.values import Const
 
     kernel = build_toy_kernel()
-    module = kernel.module
+    # Edited in place below, so a clone: the memoized module is shared.
+    module = kernel.module.clone()
     arch = get_arch("P100")
     rng = np.random.default_rng(2)
     x = rng.normal(size=64)
@@ -375,8 +377,9 @@ def test_jit_tier_leaves_dispatch_uncompiled():
     only a jit-tier device triggers segment compilation."""
     from repro.gpu import decode_function
 
-    kernel = build_toy_kernel()
-    module = kernel.module
+    # A clone: the memoized toy module may already be compiled by an
+    # earlier launch in this process.
+    module = build_toy_kernel().module.clone()
     arch = get_arch("P100")
     rng = np.random.default_rng(3)
     args = {"x": rng.normal(size=64), "y": rng.normal(size=64),
@@ -507,7 +510,8 @@ def test_jit_cache_invalidated_by_edits():
     from repro.ir.values import Const
 
     kernel = build_toy_kernel()
-    module = kernel.module
+    # Edited in place below, so a clone: the memoized module is shared.
+    module = kernel.module.clone()
     arch = get_arch("P100")
     rng = np.random.default_rng(5)
     x = rng.normal(size=128)

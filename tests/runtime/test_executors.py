@@ -1,30 +1,27 @@
-"""Async/sharded executor parity battery and executor fault handling.
+"""Executor selection and executor fault handling.
 
-Two contracts from the ``Executor`` docstring are pinned here:
+Contracts from the ``Executor`` docstring pinned here (serial/process
+parity itself lives in ``tests/runtime/test_engine.py``):
 
-* **parity** -- every executor returns bit-for-bit the results of
-  :class:`SerialExecutor`, in input order;
-* **clean failure** -- a worker that raises (or a worker process that
-  dies) mid-batch surfaces one :class:`~repro.errors.ExecutorError`
-  (or the original exception, for the serial path), the async executor
-  cancels in-flight siblings, no partial results reach the cache, and
-  the executor stays usable for the next batch.
+* ``make_executor`` maps ``--jobs`` onto the serial executor or the
+  process pool and rejects every other kind;
+* **clean failure** -- an evaluation that raises on the serial path
+  propagates without storing any of the batch, and a worker process
+  that dies mid-batch surfaces one :class:`~repro.errors.ExecutorError`;
+  either way no partial results reach the cache and the executor stays
+  usable for the next batch.
 """
 
 import os
-import time
 
 import pytest
 
 from repro.errors import ExecutorError
-from repro.gevo import GevoConfig, GevoSearch
 from repro.runtime import (
-    AsyncExecutor,
     EvaluationEngine,
     FitnessCache,
     ParallelExecutor,
     SerialExecutor,
-    ShardedExecutor,
     make_executor,
 )
 from repro.workloads import ToyWorkloadAdapter, toy_discovered_edits
@@ -35,35 +32,17 @@ def adapter():
     return ToyWorkloadAdapter(elements=64)
 
 
-@pytest.fixture(scope="module")
-def edit_sets(adapter):
-    edits = toy_discovered_edits(adapter.kernel)
-    return [[], [edits[0]], [edits[1]], [edits[2]],
-            [edits[0], edits[1]], [edits[1], edits[2]], list(edits)]
-
-
 class FailingToyAdapter(ToyWorkloadAdapter):
-    """Raises when the marker instruction has been edited out.
+    """Raises when the marker instruction has been edited out."""
 
-    ``delay`` slows down the *healthy* evaluations so a fast failure can
-    demonstrably cancel queued siblings in the async executor.  The
-    ``evaluated`` list counts evaluations across worker threads
-    (``list.append`` is atomic under the GIL).
-    """
-
-    def __init__(self, fail_uid, delay=0.0, **kwargs):
+    def __init__(self, fail_uid, **kwargs):
         super().__init__(**kwargs)
         self.fail_uid = fail_uid
-        self.delay = delay
-        self.evaluated = []
 
     def evaluate(self, module):
-        self.evaluated.append(1)
         present = {inst.uid for inst in module.instructions()}
         if self.fail_uid not in present:
             raise RuntimeError("injected failure: marker instruction deleted")
-        if self.delay:
-            time.sleep(self.delay)
         return super().evaluate(module)
 
 
@@ -75,134 +54,60 @@ class DyingToyAdapter(ToyWorkloadAdapter):
 
 
 class TestParity:
-    """Bit-for-bit equality with the serial executor."""
-
-    @pytest.mark.parametrize("executor_factory", [
-        lambda: AsyncExecutor(3),
-        lambda: ShardedExecutor(3),
-    ], ids=["async", "sharded"])
-    def test_batch_results_bitwise_identical_to_serial(
-            self, adapter, edit_sets, executor_factory):
-        serial = EvaluationEngine(adapter).evaluate_many(edit_sets)
-        with EvaluationEngine(adapter, executor=executor_factory()) as engine:
-            results = engine.evaluate_many(edit_sets)
-        for expected, actual in zip(serial, results):
-            assert actual.valid == expected.valid
-            assert actual.runtime_ms == expected.runtime_ms
-            assert [(case.name, case.passed, case.runtime_ms)
-                    for case in actual.cases] == \
-                   [(case.name, case.passed, case.runtime_ms)
-                    for case in expected.cases]
-
-    @pytest.mark.parametrize("executor_factory", [
-        lambda: AsyncExecutor(4),
-        lambda: ShardedExecutor(4),
-    ], ids=["async", "sharded"])
-    def test_full_search_identical_to_serial(self, adapter, executor_factory):
-        config = GevoConfig.quick(seed=11, population_size=8, generations=3)
-        serial_result = GevoSearch(adapter, config).run()
-        with EvaluationEngine(adapter, executor=executor_factory()) as engine:
-            result = GevoSearch(adapter, config, engine=engine).run()
-        assert (serial_result.history.best_fitness_series()
-                == result.history.best_fitness_series())
-        assert serial_result.best.edit_keys() == result.best.edit_keys()
-
     def test_single_item_batches_stay_serial(self, adapter):
-        # The <=1 fast path must not regress results either.
+        # The pool's <=1 fast path must not regress results either.
         baseline = EvaluationEngine(adapter).baseline()
-        for executor in (AsyncExecutor(4), ShardedExecutor(4)):
-            assert EvaluationEngine(adapter, executor=executor).baseline() \
-                   == baseline
+        with EvaluationEngine(adapter, executor=ParallelExecutor(4)) as engine:
+            assert engine.baseline() == baseline
 
 
 class TestMakeExecutor:
     def test_kinds(self):
         assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(3), ParallelExecutor)
         assert isinstance(make_executor(1, "auto"), SerialExecutor)
-        assert isinstance(make_executor(3, "serial"), SerialExecutor)
-        process = make_executor(3, "process")
+        process = make_executor(3, "auto")
         assert isinstance(process, ParallelExecutor) and process.jobs == 3
-        fanned = make_executor(3, "async")
-        assert isinstance(fanned, AsyncExecutor) and fanned.jobs == 3
-        sharded = make_executor(3, "sharded")
-        assert isinstance(sharded, ShardedExecutor) and sharded.shards == 3
 
     def test_zero_jobs_pick_a_default(self):
-        assert make_executor(0, "async").jobs >= 1
-        assert make_executor(0, "sharded").shards >= 1
+        assert make_executor(0, "auto").jobs >= 1
 
     def test_unknown_kind_is_an_error(self):
-        with pytest.raises(ValueError):
-            make_executor(2, "quantum")
+        # Only the --jobs rule remains; a pinned executor is constructed
+        # directly, never named.
+        for kind in ("quantum", "serial", "process", "async", "sharded"):
+            with pytest.raises(ValueError, match="--jobs"):
+                make_executor(2, kind)
 
 
 class TestFaultHandling:
-    def _failing_adapter(self, delay=0.0):
-        # The marker uid must come from this adapter's own kernel build
-        # (instruction uids are unique per build).
-        adapter = FailingToyAdapter(None, delay=delay, elements=64)
-        adapter.fail_uid = adapter.kernel.edit_targets["useless_barrier"]
-        return adapter
-
-    def _batch(self, adapter, healthy=6):
-        """One fast-failing variant followed by *healthy* slow ones."""
+    def test_serial_failure_does_not_corrupt_the_cache(self, tmp_path):
         from repro.gevo.edits import InstructionDelete
 
-        failing = [InstructionDelete(adapter.fail_uid)]
+        adapter = FailingToyAdapter(None, elements=64)
+        adapter.fail_uid = adapter.kernel.edit_targets["useless_barrier"]
         others = [uid for uid in adapter.kernel.edit_targets.values()
                   if uid != adapter.fail_uid]
-        sets = [failing]
-        for index in range(healthy):
-            sets.append([InstructionDelete(others[index % len(others)])] * (index + 1))
-        return sets
-
-    def test_async_failure_surfaces_executor_error_and_cancels_siblings(self):
-        adapter = self._failing_adapter(delay=0.2)
-        sets = self._batch(adapter)
-        engine = EvaluationEngine(adapter, executor=AsyncExecutor(2))
-        with pytest.raises(ExecutorError, match="injected failure"):
-            engine.evaluate_many(sets)
-        # The failure fired fast; with 2 lanes and 6 slow siblings queued,
-        # cancellation must have stopped at least the tail of the queue.
-        assert len(adapter.evaluated) < len(sets)
-
-    def test_async_failure_does_not_corrupt_the_cache(self, tmp_path):
-        adapter = self._failing_adapter()
-        good_sets = self._batch(adapter)[1:]
+        good_sets = [[InstructionDelete(uid)] for uid in others]
         cache_path = str(tmp_path / "cache.sqlite")
-        engine = EvaluationEngine(adapter, executor=AsyncExecutor(2),
+        engine = EvaluationEngine(adapter, executor=SerialExecutor(),
                                   cache=FitnessCache(cache_path))
         engine.evaluate_many(good_sets)
         persisted_before = len(FitnessCache(cache_path))
-        # The failing batch needs >1 *uncached* set to exercise the async
-        # path (a lone pending item takes the serial shortcut); pair the
-        # failing variant with a fresh healthy combination.
-        from repro.gevo.edits import InstructionDelete
-
-        others = [uid for uid in adapter.kernel.edit_targets.values()
-                  if uid != adapter.fail_uid]
-        failing_batch = [[InstructionDelete(adapter.fail_uid)],
-                         [InstructionDelete(others[0]), InstructionDelete(others[1])]]
-        with pytest.raises(ExecutorError):
+        # A fresh healthy combination evaluated *before* the failing
+        # variant in the same batch must not be stored either.
+        failing_batch = [[InstructionDelete(others[0]), InstructionDelete(others[1])],
+                         [InstructionDelete(adapter.fail_uid)]]
+        with pytest.raises(RuntimeError, match="injected failure"):
             engine.evaluate_many(failing_batch)
         engine.close()
-        # Nothing from the failed batch -- not even its healthy siblings --
-        # was stored; the previously persisted entries are intact, and a
-        # fresh engine over the same cache re-serves them without
-        # re-simulation.
+        # Nothing from the failed batch was stored; the previously
+        # persisted entries are intact, and a fresh engine over the same
+        # cache re-serves them without re-simulation.
         assert len(FitnessCache(cache_path)) == persisted_before
         healthy = ToyWorkloadAdapter(elements=64)
-        with EvaluationEngine(healthy, executor=AsyncExecutor(2),
-                              cache=FitnessCache(cache_path)) as fresh:
+        with EvaluationEngine(healthy, cache=FitnessCache(cache_path)) as fresh:
             fresh.evaluate_many(good_sets)
             assert fresh.evaluations == 0
-
-    def test_sharded_failure_surfaces_executor_error(self):
-        adapter = self._failing_adapter()
-        engine = EvaluationEngine(adapter, executor=ShardedExecutor(3))
-        with pytest.raises(ExecutorError, match="injected failure"):
-            engine.evaluate_many(self._batch(adapter))
 
     def test_dead_worker_process_surfaces_executor_error_and_pool_resets(self):
         dying = DyingToyAdapter(elements=64)

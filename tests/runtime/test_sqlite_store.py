@@ -1,10 +1,15 @@
 """The SQLite cache tier: backend selection, incremental flushes, migration."""
 
 import json
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.errors import CacheError
 from repro.gevo.fitness import CaseResult, FitnessResult
 from repro.runtime import (
     CacheKey,
@@ -48,6 +53,17 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             make_cache_store(str(tmp_path / "cache.json"), backend="parquet")
+
+    @pytest.mark.parametrize("backend", [None, "auto", "json", "sqlite"])
+    def test_directory_path_rejected_under_every_backend(self, tmp_path, backend):
+        # What the removed sharded backend left behind: a directory with a
+        # manifest and shard files.  No backend may reinterpret it.
+        legacy = tmp_path / "cache"
+        legacy.mkdir()
+        (legacy / "shards.json").write_text('{"version": 1, "shards": 2}')
+        with pytest.raises(CacheError, match="is a directory"):
+            FitnessCache(str(legacy), backend=backend)
+        assert sorted(os.listdir(legacy)) == ["shards.json"]
 
 
 class TestSqliteRoundTrip:
@@ -104,6 +120,43 @@ class TestSqliteRoundTrip:
         assert reader.peek(_key("one")).runtime_ms == 1.0
         reader.close()
         writer.close()
+
+
+_WRITER = """
+import sys
+from repro.gevo.fitness import CaseResult, FitnessResult
+from repro.runtime import CacheKey, FitnessCache
+
+path, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cache = FitnessCache(path, backend="sqlite")
+for index in range(count):
+    key = CacheKey("toy", "P100", f"{tag}-{index:03d}")
+    cache.put(key, FitnessResult.from_cases([CaseResult("c", True, index + 0.5)]))
+    cache.save()  # one small upsert transaction per entry
+cache.close()
+"""
+
+
+class TestConcurrentWriters:
+    def test_two_processes_flush_disjoint_entries_into_one_file(self, tmp_path):
+        path = str(tmp_path / "shared.sqlite")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        writers = [subprocess.Popen([sys.executable, "-c", _WRITER, path, tag, "40"],
+                                    env=env, stderr=subprocess.PIPE, text=True)
+                   for tag in ("left", "right")]
+        for writer in writers:
+            _, stderr = writer.communicate(timeout=120)
+            assert writer.returncode == 0, stderr
+        reopened = FitnessCache(path)
+        assert len(reopened) == 80
+        for tag in ("left", "right"):
+            for index in range(40):
+                hit = reopened.get(CacheKey("toy", "P100", f"{tag}-{index:03d}"))
+                assert hit is not None and hit.runtime_ms == index + 0.5
+        reopened.close()
 
 
 class TestIncrementalFlush:

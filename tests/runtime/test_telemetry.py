@@ -347,7 +347,7 @@ class TestConsoleReporter:
             assert capsys.readouterr().out == ""
             reporter(TraceEvent(run_id="r", emitter="main", seq=2,
                                 kind="event", name="executor.fault", t=0.0,
-                                fields={"executor": "async",
+                                fields={"executor": "parallel",
                                         "error": "boom"}))
             assert "boom" in capsys.readouterr().out
         finally:

@@ -1,8 +1,29 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestStartup:
+    def test_importing_the_cli_leaves_the_experiments_unloaded(self):
+        # The experiment modules dominate start-up; only list/run load them.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        probe = ("import sys, repro.cli; "
+                 "print('repro.experiments' in sys.modules)")
+        completed = subprocess.run([sys.executable, "-c", probe], env=env,
+                                   capture_output=True, text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
 
 
 class TestCli:
@@ -132,11 +153,35 @@ class TestBaselineCli:
         assert "resuming from" in output
         assert "0 evaluations" in output
 
-    def test_executor_flag_selects_the_backend(self, capsys):
-        assert main(["search", "toy", "--population", "6", "--generations", "2",
-                     "--seed", "3", "--jobs", "2", "--executor", "async"]) == 0
-        output = capsys.readouterr().out
-        assert "executor=async" in output and "best speedup" in output
+    def test_jobs_flag_selects_the_backend(self, capsys):
+        argv = ["search", "toy", "--population", "6", "--generations", "2",
+                "--seed", "3"]
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        pooled = capsys.readouterr().out
+        assert "executor=serial" in serial and "executor=parallel" in pooled
+        # Same search, same result: the executor never changes a fitness.
+        speedup = [line for line in serial.splitlines() if "best speedup" in line]
+        assert speedup and speedup[0].split(" with ")[0] in pooled
+
+    def test_removed_executor_flags_are_rejected(self, capsys):
+        for flags in (["--executor", "async"], ["--cache-shards", "4"],
+                      ["--cache-backend", "sharded"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["search", "toy", "--generations", "1"] + flags)
+            assert excinfo.value.code == 2
+        capsys.readouterr()
+
+    def test_directory_cache_path_is_a_clean_error(self, capsys, tmp_path):
+        # A directory is what the removed sharded backend left behind; no
+        # backend may quietly reinterpret it.
+        legacy = tmp_path / "cache"
+        legacy.mkdir()
+        (legacy / "shards.json").write_text('{"version": 1, "shards": 4}')
+        assert main(["search", "toy", "--generations", "1",
+                     "--cache", str(legacy)]) == 2
+        assert "is a directory" in capsys.readouterr().err
 
     def test_mismatched_resume_is_a_clean_error(self, capsys, tmp_path):
         checkpoint = str(tmp_path / "ckpt.json")
@@ -152,7 +197,7 @@ class TestBaselineCli:
 class TestSweepCli:
     ARGS = ["sweep", "--arch", "P100,V100", "--workload", "toy",
             "--seeds", "0,1", "--population", "4", "--generations", "2",
-            "--executor", "async", "--jobs", "2"]
+            "--jobs", "2"]
 
     def test_sweep_produces_one_aggregated_report(self, capsys, tmp_path):
         sweep_dir = str(tmp_path / "sweep")

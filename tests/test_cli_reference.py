@@ -80,7 +80,7 @@ class TestHelpSmoke:
             main(["sweep", "--help"])
         out = capsys.readouterr().out
         for flag in ("--arch", "--workload", "--seeds", "--runs", "--method",
-                     "--sweep-dir", "--resume", "--jobs", "--executor",
-                     "--cache", "--cache-backend", "--cache-shards",
+                     "--sweep-dir", "--resume", "--jobs",
+                     "--cache", "--cache-backend",
                      "--checkpoint-every", "--reference-interpreter"):
             assert flag in out

@@ -150,3 +150,37 @@ class TestDiscoveredEditsV0:
         full_speedup = baseline.runtime_ms / adapter.evaluate(
             apply_edits(adapter.original_module(), full).module).runtime_ms
         assert 1.0 < partial_speedup < full_speedup
+
+
+class TestWorkerCopies:
+    """What a ``--jobs N`` worker receives is a pickled copy of the adapter."""
+
+    @pytest.fixture(scope="class")
+    def small_adapter(self):
+        from repro.workloads.adept import AdeptWorkloadAdapter
+
+        short = generate_pairs(2, reference_length=30, query_length=18, seed=3)
+        other = generate_pairs(1, reference_length=40, query_length=24, seed=4)
+        return AdeptWorkloadAdapter("v1", get_arch("P100"),
+                                    fitness_cases=[short, other],
+                                    validation_pairs=short)
+
+    def test_pickled_adapter_evaluates_the_original_as_valid(self, small_adapter):
+        import pickle
+
+        worker = pickle.loads(pickle.dumps(small_adapter))
+        result = worker.evaluate(small_adapter.original_module())
+        assert result.valid, [case.message for case in result.cases]
+        assert result.runtime_ms == small_adapter.baseline().runtime_ms
+
+    def test_process_pool_batch_equals_serial_batch(self, small_adapter):
+        from repro.runtime import EvaluationEngine, ParallelExecutor
+
+        edits = adept_v1_discovered_edits(small_adapter.kernel)
+        sets = [[], [edits[0]], [edits[1]], edits[:2]]
+        serial = EvaluationEngine(small_adapter).evaluate_many(sets)
+        with EvaluationEngine(small_adapter, executor=ParallelExecutor(2)) as engine:
+            pooled = engine.evaluate_many(sets)
+        assert [(r.valid, r.runtime_ms) for r in pooled] == \
+               [(r.valid, r.runtime_ms) for r in serial]
+        assert serial[0].valid
